@@ -34,12 +34,12 @@ use lockdown_traffic::plan::{Cell, Stream, TraceEmitter, TracePlan};
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Object-safe face of [`FlowConsumer`] used inside the engine (and the
-/// multi-scenario matrix built on top of it).
+/// serving path's per-figure assembly).
 pub(crate) trait AnyConsumer: Send {
     fn observe_batch(&mut self, records: &[FlowRecord]);
     fn merge_box(&mut self, other: Box<dyn AnyConsumer>);
@@ -156,9 +156,8 @@ impl EnginePlan {
     /// cell makes the pass *warm*: cells are decoded from segments instead
     /// of generated, byte-identically. Anything else — no manifest, a stale
     /// key, missing cells — makes the pass *cold*: cells are generated as
-    /// usual and spilled so the next run replays. Archived passes must run
-    /// through [`try_run`]/[`try_run_with_workers`] to surface I/O and
-    /// corruption errors instead of panicking.
+    /// usual and spilled so the next run replays. I/O and corruption
+    /// surface as errors from [`run`]/[`run_with_workers`].
     pub fn with_archive(&mut self, dir: impl Into<PathBuf>) -> &mut EnginePlan {
         self.archive = Some(dir.into());
         self
@@ -239,8 +238,8 @@ impl EnginePlan {
     }
 
     /// Decompose into the deduplicated trace plan and the subscription
-    /// list, dropping the (matrix-unsupported) wire/archive/chaos options
-    /// — the multi-scenario matrix drives cells itself.
+    /// list, dropping the wire/archive/chaos options — for callers that
+    /// fetch cells themselves (the serving path) or only count them.
     pub(crate) fn into_trace_and_subs(self) -> (TracePlan, Vec<Subscription>) {
         (self.trace, self.subs)
     }
@@ -349,19 +348,19 @@ pub struct EngineOutput {
 }
 
 impl EngineOutput {
-    /// Assemble an output from externally merged consumers (the matrix
-    /// path). Wire, audit and supervisor artefacts do not apply there.
+    /// Assemble an output from consumers fed outside the engine (the
+    /// serving path). Wire, audit and supervisor artefacts do not apply
+    /// there.
     pub(crate) fn from_consumers(
         consumers: Vec<Box<dyn AnyConsumer>>,
         stats: EngineStats,
-        store_metrics: Option<Arc<StoreMetrics>>,
     ) -> EngineOutput {
         EngineOutput {
             consumers: consumers.into_iter().map(Some).collect(),
             stats,
             wire_metrics: None,
             audit: None,
-            store_metrics,
+            store_metrics: None,
             supervisor_metrics: None,
             degraded: None,
         }
@@ -439,16 +438,21 @@ pub fn run(ctx: &Context, plan: EnginePlan) -> Result<EngineOutput, StoreError> 
     run_with_workers(ctx, plan, default_workers())
 }
 
-/// Fallible run with the default worker count. Alias of [`run`], kept for
-/// call sites that want the archived-pass intent in the name.
-pub fn try_run(ctx: &Context, plan: EnginePlan) -> Result<EngineOutput, StoreError> {
-    run_with_workers(ctx, plan, default_workers())
-}
-
-/// One worker's tallies alongside its consumer column.
+/// Consumer states and cell accounting of a run of cells: one worker's
+/// chunk, a whole pass, or every slice a shard coordinator absorbed.
 struct Partial {
     consumers: Vec<Box<dyn AnyConsumer>>,
     tallies: Tallies,
+}
+
+impl Partial {
+    /// Fresh consumers for every subscription, nothing counted yet.
+    fn empty(subs: &[Subscription]) -> Partial {
+        Partial {
+            consumers: subs.iter().map(|s| s.build()).collect(),
+            tallies: Tallies::default(),
+        }
+    }
 }
 
 /// Per-worker cell accounting.
@@ -458,6 +462,15 @@ struct Tallies {
     generated: u64,
     replayed: u64,
     resumed: u64,
+}
+
+impl Tallies {
+    fn add(&mut self, other: Tallies) {
+        self.flows += other.flows;
+        self.generated += other.generated;
+        self.replayed += other.replayed;
+        self.resumed += other.resumed;
+    }
 }
 
 /// How one cell's records were obtained.
@@ -482,9 +495,9 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 
 /// Everything one engine pass shares across workers to execute a cell:
 /// generation, replay, resume, the wire plane and (optionally) the
-/// supervisor. Both the sequential and the threaded paths run cells
-/// through [`CellRunner::process`], so supervised semantics cannot drift
-/// between worker counts.
+/// supervisor. The in-process pass and the shard slice both run their
+/// cells through [`CellRunner::run_cells`], so supervised semantics
+/// cannot drift between worker counts or across the shard boundary.
 struct CellRunner<'a> {
     emitter: &'a TraceEmitter<'a>,
     scan: Option<&'a SegmentScan<'a>>,
@@ -642,8 +655,7 @@ impl CellRunner<'_> {
         &self,
         cell: Cell,
         buf: &mut Vec<FlowRecord>,
-        consumers: &mut [Box<dyn AnyConsumer>],
-        tallies: &mut Tallies,
+        out: &mut Partial,
     ) -> Result<(), StoreError> {
         let fill = match self.supervisor {
             Some(sup) => match self.fill_supervised(sup, cell, buf)? {
@@ -652,6 +664,7 @@ impl CellRunner<'_> {
             },
             None => self.fill_plain(cell, buf)?,
         };
+        let tallies = &mut out.tallies;
         match fill {
             CellFill::Generated => tallies.generated += 1,
             CellFill::Replayed => tallies.replayed += 1,
@@ -672,12 +685,177 @@ impl CellRunner<'_> {
         if let Some(pl) = self.plane {
             pl.note_consumed(&cell, batch);
         }
-        for (sub, consumer) in self.subs.iter().zip(consumers.iter_mut()) {
+        for (sub, consumer) in self.subs.iter().zip(out.consumers.iter_mut()) {
             if sub.covers(cell) {
                 consumer.observe_batch(batch);
             }
         }
         Ok(())
+    }
+
+    /// Run `cells` on up to `workers` threads, each owning one contiguous
+    /// chunk of the sorted list, and merge the partials in chunk (= cell)
+    /// order. The first fatal error wins: it stops the other workers at
+    /// their next cell, so (say) a demanded-but-absent segment aborts the
+    /// pass promptly. Supervised retriable failures never stop anything.
+    fn run_cells(&self, cells: &[Cell], workers: usize) -> Result<Partial, StoreError> {
+        let chunk = cells.len().div_ceil(workers.max(1)).max(1);
+        let stop = AtomicBool::new(false);
+        let partials: Vec<Result<Partial, StoreError>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = cells
+                .chunks(chunk)
+                .map(|chunk| scope.spawn(|| self.run_chunk(chunk, &stop)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect()
+        });
+        let mut partials = partials.into_iter();
+        let mut merged = match partials.next() {
+            Some(first) => first?,
+            None => Partial::empty(self.subs),
+        };
+        for partial in partials {
+            let partial = partial?;
+            merged.tallies.add(partial.tallies);
+            for (m, l) in merged.consumers.iter_mut().zip(partial.consumers) {
+                m.merge_box(l);
+            }
+        }
+        Ok(merged)
+    }
+
+    /// One worker's chunk, on fresh consumers.
+    fn run_chunk(&self, cells: &[Cell], stop: &AtomicBool) -> Result<Partial, StoreError> {
+        let mut out = Partial::empty(self.subs);
+        let mut buf = Vec::new();
+        for &cell in cells {
+            if stop.load(Ordering::Relaxed) {
+                break;
+            }
+            if let Err(e) = self.process(cell, &mut buf, &mut out) {
+                stop.store(true, Ordering::Relaxed);
+                return Err(e);
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// Open the manifest in `dir` for a pass over `cells` of the plan
+/// `plan_hash`. Returns the key a cold pass spills under and, when a
+/// manifest of the same generation (seed + scenario — the plan hash may
+/// differ, a superset archive serves a subset plan with pruning) covers
+/// every cell, the reader to replay from. A corrupt manifest is fatal
+/// unless `tolerate_corrupt`, which counts it as a rejected resume and
+/// treats it as absent.
+fn open_archive(
+    ctx: &Context,
+    dir: &Path,
+    plan_hash: u64,
+    cells: &[Cell],
+    metrics: &Arc<StoreMetrics>,
+    tolerate_corrupt: bool,
+) -> Result<(StoreKey, Option<ArchiveReader>), StoreError> {
+    let key = StoreKey {
+        seed: ctx.config.seed,
+        scenario_hash: ctx.scenario_hash(),
+        plan_hash,
+    };
+    let opened = match ArchiveReader::open(dir, Arc::clone(metrics)) {
+        Ok(r) => r,
+        Err(StoreError::Corrupt { .. }) if tolerate_corrupt => {
+            metrics.resume_rejected.inc();
+            None
+        }
+        Err(e) => return Err(e),
+    };
+    let warm = opened.filter(|r| r.key().same_generation(&key) && r.covers(cells.iter()));
+    Ok((key, warm))
+}
+
+/// A pass whose cells have all run — in this process, or in shard
+/// workers whose slices were absorbed — ready to publish.
+struct Pass {
+    subs: Vec<Subscription>,
+    merged: Partial,
+    cells_demanded: u64,
+    writer: Option<ArchiveWriter>,
+    store_metrics: Option<Arc<StoreMetrics>>,
+    quarantined: Vec<QuarantinedCell>,
+}
+
+impl Pass {
+    /// Publish the archive and assemble the output. A complete pass
+    /// publishes the manifest; a degraded pass (any quarantined cell)
+    /// must not claim completeness, so it checkpoints the journal
+    /// instead, leaving the archive resumable. (A pass that errored
+    /// fatally never gets here and leaves the archive manifest-less.)
+    /// The degraded report attributes each quarantined cell to every
+    /// figure whose window covers it.
+    fn publish(
+        self,
+        workers: usize,
+        supervisor_metrics: Option<Arc<SupervisorMetrics>>,
+    ) -> Result<EngineOutput, StoreError> {
+        let mut quarantined = self.quarantined;
+        quarantined.sort_by_key(|q| q.cell);
+        if let Some(w) = &self.writer {
+            if quarantined.is_empty() {
+                w.finish()?;
+            } else {
+                w.checkpoint()?;
+            }
+        }
+        let tallies = self.merged.tallies;
+        let retries = supervisor_metrics.as_ref().map_or(0, |m| m.retries.get());
+        if let Some(m) = &supervisor_metrics {
+            m.quarantined_cells.set_max(quarantined.len() as u64);
+            m.resumed_cells.set_max(tallies.resumed);
+        }
+        let stats = EngineStats {
+            demands: self.subs.len(),
+            cells_demanded: self.cells_demanded,
+            cells_generated: tallies.generated,
+            cells_replayed: tallies.replayed,
+            cells_resumed: tallies.resumed,
+            cells_quarantined: quarantined.len() as u64,
+            retries,
+            flows_emitted: tallies.flows,
+            workers,
+        };
+        let degraded = (!quarantined.is_empty()).then(|| {
+            let mut affected: BTreeMap<String, u64> = BTreeMap::new();
+            for q in &quarantined {
+                let mut seen = BTreeSet::new();
+                for sub in &self.subs {
+                    if sub.covers(q.cell) {
+                        let label = sub.label.clone().unwrap_or_else(|| "unlabeled".to_string());
+                        if seen.insert(label.clone()) {
+                            *affected.entry(label).or_default() += 1;
+                        }
+                    }
+                }
+            }
+            DegradedReport {
+                quarantined,
+                affected: affected.into_iter().collect(),
+                retries,
+            }
+        });
+        Ok(EngineOutput {
+            consumers: self.merged.consumers.into_iter().map(Some).collect(),
+            stats,
+            wire_metrics: None,
+            audit: None,
+            store_metrics: self.store_metrics,
+            supervisor_metrics,
+            degraded,
+        })
     }
 }
 
@@ -694,7 +872,7 @@ pub fn run_with_workers(
         subs,
         wire,
         archive,
-        supervisor: supervisor_cfg,
+        supervisor,
         scope: _,
     } = plan;
     let emitter =
@@ -704,55 +882,37 @@ pub fn run_with_workers(
     // batch is the same whichever worker processes the cell.
     let plane = wire.map(CollectionPlane::new);
     let cells = trace.cells();
-    let supervisor = supervisor_cfg.map(Supervisor::new);
+    let supervisor = supervisor.map(Supervisor::new);
 
-    // Archive resolution: replay only from a manifest of the same
-    // generation (seed + scenario — the plan hash may differ, a superset
-    // archive serves a subset plan with pruning) that covers every
-    // demanded cell. Everything else is regenerated and respilled —
-    // except under supervision, where a journal or partially covering
-    // manifest of the same generation is *adopted* so the pass
-    // regenerates only what is actually missing (checkpoint/resume), and
-    // a corrupt manifest downgrades from hard abort to regeneration.
+    // Replay only from a covering manifest of the same generation;
+    // everything else is regenerated and respilled — except under
+    // supervision, where a journal or partially covering manifest of the
+    // same generation is *adopted* so the pass regenerates only what is
+    // actually missing (checkpoint/resume), and a corrupt manifest
+    // downgrades from hard abort to regeneration.
     let store_metrics = archive.as_ref().map(|_| StoreMetrics::new());
-    let mut reader: Option<ArchiveReader> = None;
-    let mut writer: Option<ArchiveWriter> = None;
-    let mut adopted: BTreeMap<Cell, SegmentMeta> = BTreeMap::new();
+    let mut reader = None;
+    let mut writer = None;
+    let mut adopted = BTreeMap::new();
     if let (Some(dir), Some(metrics)) = (&archive, &store_metrics) {
-        let key = StoreKey {
-            seed: ctx.config.seed,
-            scenario_hash: ctx.scenario_hash(),
-            plan_hash: trace.plan_hash(),
-        };
-        let opened = match ArchiveReader::open(dir, Arc::clone(metrics)) {
-            Ok(r) => r,
-            Err(StoreError::Corrupt { .. }) if supervisor.is_some() => {
-                metrics.resume_rejected.inc();
-                None
-            }
-            Err(e) => return Err(e),
-        };
-        match opened {
-            Some(r) if r.key().same_generation(&key) && r.covers(cells.iter()) => {
-                reader = Some(r);
-            }
-            _ if supervisor.is_some() => {
+        let supervised = supervisor.is_some();
+        match open_archive(ctx, dir, trace.plan_hash(), &cells, metrics, supervised)? {
+            (_, Some(r)) => reader = Some(r),
+            (key, None) if supervised => {
                 let (w, a) = ArchiveWriter::create_or_resume(dir, key, Arc::clone(metrics))?;
                 writer = Some(w);
                 adopted = a;
             }
-            _ => writer = Some(ArchiveWriter::create(dir, key, Arc::clone(metrics))?),
+            (key, None) => writer = Some(ArchiveWriter::create(dir, key, Arc::clone(metrics))?),
         }
     }
-    let scan = match (&reader, &store_metrics) {
-        (Some(r), Some(m)) => Some(SegmentScan::new(r, cells.iter().copied(), m)),
-        _ => None,
-    };
+    let scan = reader
+        .as_ref()
+        .zip(store_metrics.as_ref())
+        .map(|(r, m)| SegmentScan::new(r, cells.iter().copied(), m));
 
     let workers = workers.max(1).min(cells.len().max(1));
-    let mut merged: Vec<Box<dyn AnyConsumer>> = subs.iter().map(|s| (s.factory)()).collect();
-    let mut tallies = Tallies::default();
-    let runner = CellRunner {
+    let merged = CellRunner {
         emitter: &emitter,
         scan: scan.as_ref(),
         writer: writer.as_ref(),
@@ -761,137 +921,24 @@ pub fn run_with_workers(
         supervisor: supervisor.as_ref(),
         store_metrics: store_metrics.as_ref(),
         subs: &subs,
-    };
-
-    if workers == 1 {
-        let mut buf = Vec::new();
-        for &cell in &cells {
-            runner.process(cell, &mut buf, &mut merged, &mut tallies)?;
-        }
-    } else {
-        let chunk = cells.len().div_ceil(workers);
-        let mut results: Vec<Option<Result<Partial, StoreError>>> = Vec::new();
-        results.resize_with(workers, || None);
-        // First fatal error wins; the flag stops the other workers at
-        // their next cell so (say) a demanded-but-absent segment aborts
-        // the pass promptly. Supervised retriable failures never set it.
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for (slot, chunk_cells) in results.iter_mut().zip(cells.chunks(chunk)) {
-                let runner = &runner;
-                let subs = &subs;
-                let stop = &stop;
-                scope.spawn(move || {
-                    let mut local: Vec<Box<dyn AnyConsumer>> =
-                        subs.iter().map(|s| (s.factory)()).collect();
-                    let mut buf = Vec::new();
-                    let mut tallies = Tallies::default();
-                    for &cell in chunk_cells {
-                        if stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        if let Err(e) = runner.process(cell, &mut buf, &mut local, &mut tallies) {
-                            stop.store(true, Ordering::Relaxed);
-                            *slot = Some(Err(e));
-                            return;
-                        }
-                    }
-                    *slot = Some(Ok(Partial {
-                        consumers: local,
-                        tallies,
-                    }));
-                });
-            }
-        });
-        for partial in results.into_iter().flatten() {
-            let partial = partial?;
-            tallies.flows += partial.tallies.flows;
-            tallies.generated += partial.tallies.generated;
-            tallies.replayed += partial.tallies.replayed;
-            tallies.resumed += partial.tallies.resumed;
-            for (m, l) in merged.iter_mut().zip(partial.consumers) {
-                m.merge_box(l);
-            }
-        }
     }
+    .run_cells(&cells, workers)?;
 
-    // A complete pass publishes the manifest; a degraded pass (any
-    // quarantined cell) must not claim completeness, so it checkpoints
-    // the journal instead, leaving the archive resumable. A pass that
-    // errored fatally above leaves the archive manifest-less (= absent).
-    let quarantined = supervisor
-        .as_ref()
-        .map(|s| s.quarantined())
-        .unwrap_or_default();
-    if let Some(w) = &writer {
-        if quarantined.is_empty() {
-            w.finish()?;
-        } else {
-            w.checkpoint()?;
-        }
-    }
-
-    let (degraded, supervisor_metrics) = match &supervisor {
-        Some(sup) => {
-            let metrics = sup.metrics();
-            metrics.resumed_cells.set_max(tallies.resumed);
-            let mut affected: BTreeMap<String, u64> = BTreeMap::new();
-            for q in &quarantined {
-                let mut seen = BTreeSet::new();
-                for sub in &subs {
-                    if sub.covers(q.cell) {
-                        let label = sub.label.clone().unwrap_or_else(|| "unlabeled".to_string());
-                        if seen.insert(label.clone()) {
-                            *affected.entry(label).or_default() += 1;
-                        }
-                    }
-                }
-            }
-            let report = DegradedReport {
-                quarantined,
-                affected: affected.into_iter().collect(),
-                retries: metrics.retries.get(),
-            };
-            (report.is_degraded().then_some(report), Some(metrics))
-        }
-        None => (None, None),
-    };
-
-    Ok(EngineOutput {
-        stats: EngineStats {
-            demands: merged.len(),
-            cells_demanded: trace.cells_demanded(),
-            cells_generated: tallies.generated,
-            cells_replayed: tallies.replayed,
-            cells_resumed: tallies.resumed,
-            cells_quarantined: degraded
-                .as_ref()
-                .map(|d| d.quarantined.len() as u64)
-                .unwrap_or(0),
-            retries: supervisor_metrics
-                .as_ref()
-                .map(|m| m.retries.get())
-                .unwrap_or(0),
-            flows_emitted: tallies.flows,
-            workers,
-        },
-        consumers: merged.into_iter().map(Some).collect(),
-        audit: plane.as_ref().and_then(|p| p.audit_report()),
-        wire_metrics: plane.map(|p| p.metrics()),
+    let pass = Pass {
+        subs,
+        merged,
+        cells_demanded: trace.cells_demanded(),
+        writer,
         store_metrics,
-        supervisor_metrics,
-        degraded,
-    })
-}
-
-/// Alias of [`run_with_workers`], kept for call sites that want the
-/// archived-pass intent in the name.
-pub fn try_run_with_workers(
-    ctx: &Context,
-    plan: EnginePlan,
-    workers: usize,
-) -> Result<EngineOutput, StoreError> {
-    run_with_workers(ctx, plan, workers)
+        quarantined: supervisor
+            .as_ref()
+            .map(|s| s.quarantined())
+            .unwrap_or_default(),
+    };
+    let mut out = pass.publish(workers, supervisor.map(|s| s.metrics()))?;
+    out.audit = plane.as_ref().and_then(|p| p.audit_report());
+    out.wire_metrics = plane.map(|p| p.metrics());
+    Ok(out)
 }
 
 /// Everything one shard worker hands back after running a cell-index
@@ -924,8 +971,8 @@ pub struct SliceOutcome {
 /// cell list — the shard worker's half of a coordinated pass. Semantics
 /// match [`run_with_workers`] except:
 ///
-/// * only the slice's cells execute, sequentially (worker *processes* are
-///   the parallelism, so a second thread pool inside each would fight the
+/// * only the slice's cells execute, on one thread (worker *processes*
+///   are the parallelism, so a thread pool inside each would fight the
 ///   scheduler);
 /// * an archived cold slice spills through [`ArchiveWriter::attach`] —
 ///   segment files only, never the manifest or journal, which belong to
@@ -946,7 +993,7 @@ pub fn run_slice(
         subs,
         wire,
         archive,
-        supervisor: supervisor_cfg,
+        supervisor,
         scope: _,
     } = plan;
     assert!(
@@ -959,69 +1006,50 @@ pub fn run_slice(
     let start = range.start.min(cells.len());
     let end = range.end.min(cells.len()).max(start);
     let slice = &cells[start..end];
-    let supervisor = supervisor_cfg.map(Supervisor::new);
+    let supervisor = supervisor.map(Supervisor::new);
 
-    // Archive resolution mirrors the coordinator's: a same-generation
-    // manifest covering the slice means warm replay; anything else means
-    // the coordinator already invalidated the index and this slice spills
-    // fresh segments in attach (index-untouching) mode.
+    // A same-generation manifest covering the slice means warm replay;
+    // anything else means the coordinator already invalidated the index
+    // and this slice spills fresh segments in attach (index-untouching)
+    // mode.
     let store_metrics = archive.as_ref().map(|_| StoreMetrics::new());
-    let mut reader: Option<ArchiveReader> = None;
-    let mut writer: Option<ArchiveWriter> = None;
+    let mut reader = None;
+    let mut writer = None;
     if let (Some(dir), Some(metrics)) = (&archive, &store_metrics) {
-        let key = StoreKey {
-            seed: ctx.config.seed,
-            scenario_hash: ctx.scenario_hash(),
-            plan_hash: trace.plan_hash(),
-        };
-        let opened = match ArchiveReader::open(dir, Arc::clone(metrics)) {
-            Ok(r) => r,
-            Err(StoreError::Corrupt { .. }) if supervisor.is_some() => {
-                metrics.resume_rejected.inc();
-                None
-            }
-            Err(e) => return Err(e),
-        };
-        match opened {
-            Some(r) if r.key().same_generation(&key) && r.covers(slice.iter()) => {
-                reader = Some(r);
-            }
-            _ => writer = Some(ArchiveWriter::attach(dir, key, Arc::clone(metrics))?),
+        let supervised = supervisor.is_some();
+        match open_archive(ctx, dir, trace.plan_hash(), slice, metrics, supervised)? {
+            (_, Some(r)) => reader = Some(r),
+            (key, None) => writer = Some(ArchiveWriter::attach(dir, key, Arc::clone(metrics))?),
         }
     }
-    let scan = match (&reader, &store_metrics) {
-        (Some(r), Some(m)) => Some(SegmentScan::new(r, slice.iter().copied(), m)),
-        _ => None,
-    };
+    let scan = reader
+        .as_ref()
+        .zip(store_metrics.as_ref())
+        .map(|(r, m)| SegmentScan::new(r, slice.iter().copied(), m));
 
-    let adopted = BTreeMap::new();
-    let mut consumers: Vec<Box<dyn AnyConsumer>> = subs.iter().map(|s| (s.factory)()).collect();
-    let mut tallies = Tallies::default();
-    let runner = CellRunner {
+    let ran = CellRunner {
         emitter: &emitter,
         scan: scan.as_ref(),
         writer: writer.as_ref(),
-        adopted: &adopted,
+        adopted: &BTreeMap::new(),
         plane: None,
         supervisor: supervisor.as_ref(),
         store_metrics: store_metrics.as_ref(),
         subs: &subs,
-    };
-    let mut buf = Vec::new();
-    for &cell in slice {
-        runner.process(cell, &mut buf, &mut consumers, &mut tallies)?;
     }
+    .run_cells(slice, 1)?;
 
     Ok(SliceOutcome {
-        states: consumers.iter().map(|c| c.encode_state_frame()).collect(),
-        flows: tallies.flows,
-        generated: tallies.generated,
-        replayed: tallies.replayed,
-        resumed: tallies.resumed,
-        retries: supervisor
-            .as_ref()
-            .map(|s| s.metrics().retries.get())
-            .unwrap_or(0),
+        states: ran
+            .consumers
+            .iter()
+            .map(|c| c.encode_state_frame())
+            .collect(),
+        flows: ran.tallies.flows,
+        generated: ran.tallies.generated,
+        replayed: ran.tallies.replayed,
+        resumed: ran.tallies.resumed,
+        retries: supervisor.as_ref().map_or(0, |s| s.metrics().retries.get()),
         segments: writer.as_ref().map(|w| w.metas()).unwrap_or_default(),
         quarantined: supervisor
             .as_ref()
@@ -1039,18 +1067,12 @@ pub fn run_slice(
 /// invalidated) *before* any worker opens it, so every worker sees a
 /// consistent warm/cold decision.
 pub struct ShardAssembler {
-    subs: Vec<Subscription>,
-    merged: Vec<Box<dyn AnyConsumer>>,
+    pass: Pass,
     cells: Vec<Cell>,
     plan_hash: u64,
-    cells_demanded: u64,
     warm: bool,
-    writer: Option<ArchiveWriter>,
-    store_metrics: Option<Arc<StoreMetrics>>,
     supervised: bool,
-    tallies: Tallies,
     retries: u64,
-    quarantined: Vec<QuarantinedCell>,
 }
 
 impl ShardAssembler {
@@ -1062,7 +1084,7 @@ impl ShardAssembler {
             subs,
             wire,
             archive,
-            supervisor: supervisor_cfg,
+            supervisor,
             scope: _,
         } = plan;
         assert!(
@@ -1071,43 +1093,29 @@ impl ShardAssembler {
         );
         let cells = trace.cells();
         let plan_hash = trace.plan_hash();
-        let cells_demanded = trace.cells_demanded();
         let store_metrics = archive.as_ref().map(|_| StoreMetrics::new());
         let mut warm = false;
         let mut writer = None;
         if let (Some(dir), Some(metrics)) = (&archive, &store_metrics) {
-            let key = StoreKey {
-                seed: ctx.config.seed,
-                scenario_hash: ctx.scenario_hash(),
-                plan_hash,
-            };
-            let opened = match ArchiveReader::open(dir, Arc::clone(metrics)) {
-                Ok(r) => r,
-                Err(StoreError::Corrupt { .. }) => {
-                    metrics.resume_rejected.inc();
-                    None
-                }
-                Err(e) => return Err(e),
-            };
-            match opened {
-                Some(r) if r.key().same_generation(&key) && r.covers(cells.iter()) => warm = true,
-                _ => writer = Some(ArchiveWriter::create(dir, key, Arc::clone(metrics))?),
+            match open_archive(ctx, dir, plan_hash, &cells, metrics, true)? {
+                (_, Some(_)) => warm = true,
+                (key, None) => writer = Some(ArchiveWriter::create(dir, key, Arc::clone(metrics))?),
             }
         }
-        let merged = subs.iter().map(|s| s.build()).collect();
         Ok(ShardAssembler {
-            subs,
-            merged,
+            pass: Pass {
+                merged: Partial::empty(&subs),
+                subs,
+                cells_demanded: trace.cells_demanded(),
+                writer,
+                store_metrics,
+                quarantined: Vec::new(),
+            },
             cells,
             plan_hash,
-            cells_demanded,
             warm,
-            writer,
-            store_metrics,
-            supervised: supervisor_cfg.is_some(),
-            tallies: Tallies::default(),
+            supervised: supervisor.is_some(),
             retries: 0,
-            quarantined: Vec::new(),
         })
     }
 
@@ -1134,17 +1142,18 @@ impl ShardAssembler {
     /// surfaced as archive-grade corruption — the slice must be re-run,
     /// not silently dropped.
     pub fn absorb(&mut self, outcome: SliceOutcome) -> Result<(), StoreError> {
-        if outcome.states.len() != self.merged.len() {
+        let merged = &mut self.pass.merged;
+        if outcome.states.len() != merged.consumers.len() {
             return Err(StoreError::Corrupt {
                 segment: "consumer state".to_string(),
                 detail: format!(
                     "worker returned {} states for {} subscriptions",
                     outcome.states.len(),
-                    self.merged.len()
+                    merged.consumers.len()
                 ),
             });
         }
-        for (consumer, frame) in self.merged.iter_mut().zip(&outcome.states) {
+        for (consumer, frame) in merged.consumers.iter_mut().zip(&outcome.states) {
             consumer
                 .merge_state_frame(frame)
                 .map_err(|e| StoreError::Corrupt {
@@ -1152,17 +1161,19 @@ impl ShardAssembler {
                     detail: e.to_string(),
                 })?;
         }
-        self.tallies.flows += outcome.flows;
-        self.tallies.generated += outcome.generated;
-        self.tallies.replayed += outcome.replayed;
-        self.tallies.resumed += outcome.resumed;
+        merged.tallies.add(Tallies {
+            flows: outcome.flows,
+            generated: outcome.generated,
+            replayed: outcome.replayed,
+            resumed: outcome.resumed,
+        });
         self.retries += outcome.retries;
-        if let Some(w) = &self.writer {
+        if let Some(w) = &self.pass.writer {
             for meta in outcome.segments {
                 w.adopt(meta)?;
             }
         }
-        self.quarantined.extend(outcome.quarantined);
+        self.pass.quarantined.extend(outcome.quarantined);
         Ok(())
     }
 
@@ -1173,10 +1184,10 @@ impl ShardAssembler {
         let start = range.start.min(self.cells.len());
         let end = range.end.min(self.cells.len()).max(start);
         for &cell in &self.cells[start..end] {
-            if let Some(w) = &self.writer {
+            if let Some(w) = &self.pass.writer {
                 let _ = w.remove(cell);
             }
-            self.quarantined.push(QuarantinedCell {
+            self.pass.quarantined.push(QuarantinedCell {
                 cell,
                 attempts,
                 error: error.to_string(),
@@ -1189,61 +1200,12 @@ impl ShardAssembler {
     /// consumers, the combined stats and the degraded-mode report.
     /// `workers` is recorded in the stats (worker processes, not threads).
     pub fn finish(self, workers: usize) -> Result<EngineOutput, StoreError> {
-        let mut quarantined = self.quarantined;
-        quarantined.sort_by_key(|q| q.cell);
-        if let Some(w) = &self.writer {
-            if quarantined.is_empty() {
-                w.finish()?;
-            } else {
-                w.checkpoint()?;
-            }
-        }
-        let degraded = if quarantined.is_empty() {
-            None
-        } else {
-            let mut affected: BTreeMap<String, u64> = BTreeMap::new();
-            for q in &quarantined {
-                let mut seen = BTreeSet::new();
-                for sub in &self.subs {
-                    if sub.covers(q.cell) {
-                        let label = sub.label.clone().unwrap_or_else(|| "unlabeled".to_string());
-                        if seen.insert(label.clone()) {
-                            *affected.entry(label).or_default() += 1;
-                        }
-                    }
-                }
-            }
-            Some(DegradedReport {
-                quarantined: quarantined.clone(),
-                affected: affected.into_iter().collect(),
-                retries: self.retries,
-            })
-        };
-        Ok(EngineOutput {
-            stats: EngineStats {
-                demands: self.merged.len(),
-                cells_demanded: self.cells_demanded,
-                cells_generated: self.tallies.generated,
-                cells_replayed: self.tallies.replayed,
-                cells_resumed: self.tallies.resumed,
-                cells_quarantined: quarantined.len() as u64,
-                retries: self.retries,
-                flows_emitted: self.tallies.flows,
-                workers,
-            },
-            consumers: self.merged.into_iter().map(Some).collect(),
-            wire_metrics: None,
-            audit: None,
-            store_metrics: self.store_metrics,
-            supervisor_metrics: self.supervised.then(|| {
-                let m = SupervisorMetrics::new();
-                m.retries.add(self.retries);
-                m.quarantined_cells.set_max(quarantined.len() as u64);
-                m.resumed_cells.set_max(self.tallies.resumed);
-                m
-            }),
-            degraded,
-        })
+        let supervisor_metrics = self.supervised.then(|| {
+            let m = SupervisorMetrics::new();
+            m.retries.add(self.retries);
+            m
+        });
+        self.pass.publish(workers, supervisor_metrics)
     }
 }
 
@@ -1314,6 +1276,62 @@ mod tests {
         assert_eq!(merged.stats().cells_generated, (4 * 24) as u64);
         assert!(merged.degraded().is_none());
         assert_eq!(merged.take(ch).hourly_series(d1, d2), series);
+    }
+
+    #[test]
+    fn supervised_sharded_slices_match_single_process() {
+        let ctx = Context::with_seed(Fidelity::Test, 9);
+        let d1 = Date::new(2020, 3, 9);
+        let d2 = Date::new(2020, 3, 12);
+        let chaos = ChaosConfig {
+            panic: 0.1,
+            attempts: 1,
+            ..ChaosConfig::zero()
+        };
+        let build = |plan: &mut EnginePlan| {
+            plan.with_supervisor(chaos);
+            let vp = Stream::Vantage(VantagePoint::IxpSe);
+            let all = plan.scoped("fig-all", |p| p.subscribe(vp, d1, d2, HourlyVolume::new));
+            plan.scoped("fig-first", |p| p.subscribe(vp, d1, d1, HourlyVolume::new));
+            all
+        };
+        let mut plan = EnginePlan::new();
+        let h = build(&mut plan);
+        let mut single = run_with_workers(&ctx, plan, 2).expect("supervised pass");
+
+        let mut coord_plan = EnginePlan::new();
+        let ch = build(&mut coord_plan);
+        let mut asm = ShardAssembler::new(&ctx, coord_plan).expect("assembler");
+        let n = asm.cell_count();
+        let cuts = [0, n / 3, 2 * n / 3, n];
+        for w in 0..3 {
+            let mut p = EnginePlan::new();
+            build(&mut p);
+            asm.absorb(run_slice(&ctx, p, cuts[w]..cuts[w + 1]).expect("slice"))
+                .expect("absorb");
+        }
+        let mut sharded = asm.finish(3).expect("finish");
+
+        let report = single.degraded().expect("the panic rate quarantines cells");
+        assert!(report
+            .affected
+            .iter()
+            .any(|(label, _)| label == "fig-first"));
+        assert_eq!(sharded.degraded(), Some(report));
+        assert_eq!(
+            EngineStats {
+                workers: 0,
+                ..sharded.stats()
+            },
+            EngineStats {
+                workers: 0,
+                ..single.stats()
+            }
+        );
+        assert_eq!(
+            sharded.take(ch).hourly_series(d1, d2),
+            single.take(h).hourly_series(d1, d2)
+        );
     }
 
     #[test]

@@ -113,7 +113,7 @@ fn assemble<T>(
             }
         }
     }
-    Ok((plans, EngineOutput::from_consumers(consumers, stats, None)))
+    Ok((plans, EngineOutput::from_consumers(consumers, stats)))
 }
 
 /// Render one figure (by [`figure_names`] name) from fetched cells,

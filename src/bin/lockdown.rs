@@ -201,10 +201,9 @@ USAGE:
       (the exact form 'parse -> render' round-trips).
   lockdown scenarios --matrix FILE... [--fidelity test|standard|high]
                      [--archive DIR] [--out DIR]
-      Sweep N scenario files through the full figure suite in ONE
-      engine pass: the shared cell set is enumerated once and each
-      cell is materialized per scenario lane — vs. running the suite N
-      times. Per-scenario output goes to OUT/NN-label.txt (--out) or
+      Run the full figure suite once per scenario file, one lane
+      after another on a shared registry and DNS corpus. Per-scenario
+      output goes to OUT/NN-label.txt (--out) or
       stdout under '=== scenario:' headers; the matrix summary and a
       per-scenario diff report vs. the first file go to stderr. With
       --archive DIR each lane replays from / spills to its own
@@ -1077,8 +1076,8 @@ fn cmd_scenarios(rest: &[String]) -> Result<(), String> {
     }
 }
 
-/// `scenarios --matrix`: run N scenario files through one shared engine
-/// pass and emit per-scenario figure suites plus a diff report.
+/// `scenarios --matrix`: run the figure suite once per scenario file and
+/// emit per-scenario figure suites plus a diff report.
 fn cmd_scenarios_matrix(rest: &[String]) -> Result<(), String> {
     let files = positionals(rest);
     if files.is_empty() {
@@ -1096,7 +1095,6 @@ fn cmd_scenarios_matrix(rest: &[String]) -> Result<(), String> {
     let ctx = Context::new(parse_fidelity(rest)?);
     let opts = MatrixOptions {
         archive: flag(rest, "--archive").map(|d| Path::new(&d).to_path_buf()),
-        workers: 0,
     };
     let run = run_matrix(&ctx, scenarios, opts).map_err(|e| e.to_string())?;
 

@@ -80,7 +80,7 @@ fn pass(
     let d = plan.subscribe(Stream::Vantage(vp), start, end, || SortedFlows {
         flows: Vec::new(),
     });
-    let mut out = engine::try_run_with_workers(ctx, plan, workers).expect("pass succeeds");
+    let mut out = engine::run_with_workers(ctx, plan, workers).expect("pass succeeds");
     let store = out.store_metrics().map(|m| {
         (
             m.segments_written.get(),
@@ -214,7 +214,7 @@ fn corrupt_segment_aborts_the_pass_naming_the_segment() {
     plan.subscribe(Stream::Vantage(vp), d1, d2, || SortedFlows {
         flows: Vec::new(),
     });
-    match engine::try_run_with_workers(&ctx, plan, 2) {
+    match engine::run_with_workers(&ctx, plan, 2) {
         Ok(_) => panic!("corrupt archive must abort the pass"),
         Err(StoreError::Corrupt { segment, .. }) => {
             assert_eq!(segment, victim, "error names the corrupt segment");

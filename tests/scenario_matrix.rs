@@ -109,7 +109,6 @@ fn matrix_archives_replay_per_lane() {
     };
     let opts = || MatrixOptions {
         archive: Some(dir.clone()),
-        workers: 0,
     };
 
     let cold = run_matrix(&ctx, scenarios(), opts()).expect("cold matrix");
