@@ -4,6 +4,7 @@
 use lockdown_dns::corpus::{synthesize, Corpus};
 use lockdown_dns::vpn::identify_vpn_ips;
 use lockdown_prim::{fold_hash, FOLD_INIT};
+use lockdown_scenario::demand::DEMAND_MODEL_VERSION;
 use lockdown_scenario::measures::ScenarioSpec;
 use lockdown_topology::registry::Registry;
 use lockdown_traffic::config::GeneratorConfig;
@@ -92,13 +93,18 @@ impl Context {
     }
 
     /// Stable fingerprint of everything non-seed that shapes generated
-    /// traffic: the generator scaling knobs *and* the scenario's
-    /// behavioural content. Archives key their manifests on it, so a
-    /// store written under one scenario is never replayed into another.
+    /// traffic: the generator scaling knobs, the scenario's behavioural
+    /// content and the demand model's calibration version. Archives key
+    /// their manifests on it, so a store written under one scenario or
+    /// calibration is never replayed into another.
     pub fn scenario_hash(&self) -> u64 {
         fold_hash(
             FOLD_INIT,
-            [self.config.scenario_hash(), self.scenario.fingerprint()],
+            [
+                self.config.scenario_hash(),
+                self.scenario.fingerprint(),
+                DEMAND_MODEL_VERSION,
+            ],
         )
     }
 

@@ -29,6 +29,13 @@ use lockdown_flow::time::Date;
 use lockdown_topology::asn::Region;
 use lockdown_topology::vantage::{VantageKind, VantagePoint};
 
+/// Version of the calibration hard-coded in this module (the per-class
+/// growth multipliers, shares and shapes, none of which a scenario file
+/// can express). Archive keys fold it in, so an archive spilled under an
+/// older calibration regenerates instead of replaying stale cells. Bump
+/// on any recalibration.
+pub const DEMAND_MODEL_VERSION: u64 = 1;
+
 /// The demand model: an interpreter over one scenario's timelines, events
 /// and baseline drift. Cheap to construct and `Copy`-free on purpose
 /// (benches construct one per run).

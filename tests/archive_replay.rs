@@ -274,7 +274,7 @@ fn full_suite_renders_identically_cold_and_warm() {
 #[test]
 fn default_archive_key_is_stable_across_builds() {
     let ctx = Context::new(Fidelity::Test);
-    assert_eq!(ctx.scenario_hash(), 0x3489_12ee_d900_6af4);
+    assert_eq!(ctx.scenario_hash(), 0x9dd2_7c9f_2ea1_bac7);
     assert_eq!(
         lockdown::core::serve::suite_plan_hash(&ctx),
         0xc690_8e92_b959_8141
