@@ -1,15 +1,13 @@
 //! Emit machine-readable engine numbers as JSON (hand-formatted — no
-//! serialization dependency): single-pass generation throughput, and the
-//! wall-clock speedup of a 2-scenario matrix sweep over running the
-//! suite twice sequentially. `scripts/verify.sh` writes the output to
+//! serialization dependency): single-pass generation throughput of the
+//! full figure suite. `scripts/verify.sh` writes the output to
 //! `BENCH_engine.json` at the repo root.
 //!
 //! Usage: `cargo run --release -p lockdown-bench --bin engine_json
 //! [--fidelity test|standard]` (prints to stdout).
 
 use lockdown_core::experiments::suite;
-use lockdown_core::{run_matrix, Context, Fidelity, MatrixOptions, MatrixScenario};
-use lockdown_scenario::measures::ScenarioSpec;
+use lockdown_core::{Context, Fidelity};
 use std::time::Instant;
 
 fn main() {
@@ -22,11 +20,6 @@ fn main() {
         Fidelity::Standard => "standard",
         Fidelity::High => "high",
     };
-    let variant = || {
-        let mut s = ScenarioSpec::covid_spring_2020();
-        s.baseline.organic_weekly = 1.004;
-        s
-    };
 
     // Warm-up pass (page-in and allocator effects should not land on the
     // timings).
@@ -36,53 +29,15 @@ fn main() {
     let ctx = Context::new(fidelity);
     let single = suite::run_all(&ctx);
     let single_secs = t.elapsed().as_secs_f64();
-    drop(ctx);
-
-    // Sequential baseline: what `lockdown figures --scenario FILE` twice
-    // costs — each run pays context synthesis, planning and its own pass.
-    let t = Instant::now();
-    for spec in [ScenarioSpec::covid_spring_2020(), variant()] {
-        let ctx = Context::with_scenario(fidelity, 0x10CD_2020, spec);
-        let _ = suite::run_all(&ctx);
-    }
-    let sequential_secs = t.elapsed().as_secs_f64();
-
-    // Matrix: one context, one shared enumeration, per-scenario lanes.
-    let t = Instant::now();
-    let ctx = Context::new(fidelity);
-    let matrix = run_matrix(
-        &ctx,
-        vec![
-            MatrixScenario {
-                label: "covid-spring-2020".into(),
-                spec: ScenarioSpec::covid_spring_2020(),
-            },
-            MatrixScenario {
-                label: "variant".into(),
-                spec: variant(),
-            },
-        ],
-        MatrixOptions::default(),
-    )
-    .expect("archive-free matrix cannot fail");
-    let matrix_secs = t.elapsed().as_secs_f64();
 
     let stats = single.stats;
     let flows_per_sec = stats.flows_emitted as f64 / single_secs.max(1e-9);
-    let speedup = sequential_secs / matrix_secs.max(1e-9);
     println!("{{");
     println!("  \"fidelity\": \"{fidelity_name}\",");
     println!("  \"workers\": {},", stats.workers);
     println!("  \"cells_generated\": {},", stats.cells_generated);
     println!("  \"flows_emitted\": {},", stats.flows_emitted);
     println!("  \"single_pass_secs\": {single_secs:.4},");
-    println!("  \"flows_per_sec\": {flows_per_sec:.0},");
-    println!("  \"sequential_2x_secs\": {sequential_secs:.4},");
-    println!("  \"matrix_2x_secs\": {matrix_secs:.4},");
-    println!(
-        "  \"matrix_cells_generated\": {},",
-        matrix.stats.cells_generated
-    );
-    println!("  \"matrix_speedup_vs_sequential\": {speedup:.3}");
+    println!("  \"flows_per_sec\": {flows_per_sec:.0}");
     println!("}}");
 }
