@@ -25,6 +25,14 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --locked --offline -- -D warnings
 
+# perfbench/ is its own workspace that depends on crates/* by path, so
+# nothing above builds it. Its self-tests catch an API change that would
+# break the benchmark. Its lock file is not committed, so this step
+# alone runs without --locked.
+echo "==> perfbench builds and passes its self-tests"
+CARGO_TARGET_DIR=target/perfbench cargo test --release --offline \
+    --manifest-path perfbench/Cargo.toml
+
 if [[ $quick -eq 0 ]]; then
     echo "==> wire-mode zero-fault equality (audited)"
     plain=$(mktemp)
@@ -109,7 +117,7 @@ if [[ $quick -eq 0 ]]; then
         exit 1
     }
 
-    echo "==> 2-scenario matrix: one shared generation pass"
+    echo "==> 2-scenario matrix: distinct cells equal one pass"
     mkdir -p target/matrix
     ./target/release/lockdown scenarios --matrix \
         scenarios/covid-spring-2020.toml scenarios/hypergiant-outage.toml \
