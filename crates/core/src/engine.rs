@@ -698,10 +698,10 @@ impl CellRunner<'_> {
     /// order. The first fatal error wins: it stops the other workers at
     /// their next cell, so (say) a demanded-but-absent segment aborts the
     /// pass promptly. Supervised retriable failures never stop anything.
-    /// A single chunk runs on the calling thread: a shard worker's slice
-    /// then allocates its consumers in the worker's own malloc arena
-    /// instead of a fresh thread's, which kept its peak RSS about 9%
-    /// higher.
+    /// A single chunk runs on the calling thread, so a shard worker's
+    /// slice allocates its consumers in the worker's own malloc arena; a
+    /// fresh thread per slice raised the `shard` benchmark's peak RSS by
+    /// about 10% on a 2-core host.
     fn run_cells(&self, cells: &[Cell], workers: usize) -> Result<Partial, StoreError> {
         let chunk = cells.len().div_ceil(workers.max(1)).max(1);
         let stop = AtomicBool::new(false);
