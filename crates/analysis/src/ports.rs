@@ -128,6 +128,14 @@ impl PortProfile {
         out
     }
 
+    /// Drop the hourly curves of every service not in `keep`. Totals are
+    /// untouched, so [`PortProfile::total`], [`PortProfile::top_services`]
+    /// and [`PortProfile::share_of`] answer as before; only `curve` of a
+    /// dropped service reads all zeros afterwards.
+    pub fn retain_curves(&mut self, keep: &[ServiceKey]) {
+        self.bins.retain(|(key, _, _), _| keep.contains(key));
+    }
+
     /// The top `n` services by total bytes, after removing `exclude`
     /// (Fig. 7 omits TCP/443 and TCP/80 "for readability purposes" and
     /// shows the top 3–12).
@@ -312,6 +320,24 @@ mod tests {
         assert_eq!(p.curve(quic, false)[9], 150);
         assert_eq!(p.curve(quic, true)[20], 70);
         assert_eq!(p.total(quic), 220);
+    }
+
+    #[test]
+    fn retain_curves_keeps_totals() {
+        let mut p = PortProfile::new();
+        let t = Date::new(2020, 2, 19).at_hour(9);
+        p.add(
+            &flow(IpProtocol::Udp, 443, 40_000, t, 100),
+            Region::CentralEurope,
+        );
+        p.add(&flow(IpProtocol::Gre, 0, 0, t, 30), Region::CentralEurope);
+        let (quic, gre) = (ServiceKey::Port(17, 443), ServiceKey::Protocol(47));
+        let before = (p.top_services(2, &[]), p.share_of(&[quic]));
+        p.retain_curves(&[quic]);
+        assert_eq!(p.curve(quic, false)[9], 100);
+        assert_eq!(p.curve(gre, false), [0; 24]);
+        assert_eq!((p.total(quic), p.total(gre)), (100, 30));
+        assert_eq!((p.top_services(2, &[]), p.share_of(&[quic])), before);
     }
 
     #[test]

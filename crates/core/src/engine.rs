@@ -9,11 +9,12 @@
 //! distinct cell is generated exactly once and fanned out to every
 //! subscription whose window covers it.
 //!
-//! Determinism: cells are independently seeded, workers own contiguous
-//! chunks of the sorted cell list, and every [`FlowConsumer`] merge is
-//! commutative and associative over disjoint cell sets — so the merged
-//! result is bit-identical regardless of worker count, and identical to
-//! the old per-figure regeneration. `tests/determinism.rs` asserts both.
+//! Determinism: cells are independently seeded, workers claim batches of
+//! the sorted cell list from one shared queue, and every [`FlowConsumer`]
+//! merge is commutative and associative over disjoint cell sets — so the
+//! merged result is bit-identical regardless of worker count or of which
+//! worker ran which cell, and identical to the old per-figure
+//! regeneration. `tests/determinism.rs` asserts both.
 
 use crate::context::Context;
 use crate::supervisor::{
@@ -35,7 +36,7 @@ use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Object-safe face of [`FlowConsumer`] used inside the engine (and the
@@ -438,8 +439,8 @@ pub fn run(ctx: &Context, plan: EnginePlan) -> Result<EngineOutput, StoreError> 
     run_with_workers(ctx, plan, default_workers())
 }
 
-/// Consumer states and cell accounting of a run of cells: one worker's
-/// chunk, a whole pass, or every slice a shard coordinator absorbed.
+/// Consumer states and cell accounting of a run of cells: the cells one
+/// worker claimed, a whole pass, or every slice a shard coordinator absorbed.
 struct Partial {
     consumers: Vec<Box<dyn AnyConsumer>>,
     tallies: Tallies,
@@ -492,6 +493,11 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
         "opaque panic payload".to_string()
     }
 }
+
+/// Consecutive cells a worker claims from the shared queue at a time:
+/// enough to keep cursor traffic negligible, few enough that the tail of
+/// the list still spreads across workers.
+const CLAIM_BATCH: usize = 16;
 
 /// Everything one engine pass shares across workers to execute a cell:
 /// generation, replay, resume, the wire plane and (optionally) the
@@ -693,26 +699,51 @@ impl CellRunner<'_> {
         Ok(())
     }
 
-    /// Run `cells` on up to `workers` threads, each owning one contiguous
-    /// chunk of the sorted list, and merge the partials in chunk (= cell)
-    /// order. The first fatal error wins: it stops the other workers at
-    /// their next cell, so (say) a demanded-but-absent segment aborts the
-    /// pass promptly. Supervised retriable failures never stop anything.
-    /// A single chunk runs on the calling thread, so a shard worker's
-    /// slice allocates its consumers in the worker's own malloc arena; a
-    /// fresh thread per slice raised the `shard` benchmark's peak RSS by
-    /// about 10% on a 2-core host.
+    /// Run `cells` on up to `workers` threads that drain one shared queue:
+    /// each worker claims the next [`CLAIM_BATCH`] consecutive cells from
+    /// an atomic cursor, so vantage points whose cells differ in volume by
+    /// orders of magnitude still keep every core busy. Which worker ran
+    /// which cell does not show in the output: chaos and backoff draws
+    /// are per `(cell, attempt)`, consumer merges commute (module docs),
+    /// and the quarantine list is sorted at publish.
+    ///
+    /// The first fatal error wins: it stops the other workers at their
+    /// next cell, so (say) a demanded-but-absent segment aborts the pass
+    /// promptly. Supervised retriable failures never stop anything. When
+    /// only one worker would run, it runs on the calling thread, so a
+    /// shard worker's slice allocates its consumers in the worker's own
+    /// malloc arena; a fresh thread per slice raised the `shard`
+    /// benchmark's peak RSS by about 10% on a 2-core host.
     fn run_cells(&self, cells: &[Cell], workers: usize) -> Result<Partial, StoreError> {
-        let chunk = cells.len().div_ceil(workers.max(1)).max(1);
+        // The cursor only hands out disjoint index ranges; the partials
+        // reach the merge through the scope's joins, which synchronize.
+        let cursor = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
-        if cells.len() <= chunk {
-            return self.run_chunk(cells, &stop);
+        let drain = || -> Result<Partial, StoreError> {
+            let mut out = Partial::empty(self.subs);
+            let mut buf = Vec::new();
+            loop {
+                let start = cursor.fetch_add(CLAIM_BATCH, Ordering::Relaxed);
+                if start >= cells.len() {
+                    return Ok(out);
+                }
+                for &cell in &cells[start..cells.len().min(start + CLAIM_BATCH)] {
+                    if stop.load(Ordering::Relaxed) {
+                        return Ok(out);
+                    }
+                    if let Err(e) = self.process(cell, &mut buf, &mut out) {
+                        stop.store(true, Ordering::Relaxed);
+                        return Err(e);
+                    }
+                }
+            }
+        };
+        let workers = workers.min(cells.len().div_ceil(CLAIM_BATCH));
+        if workers <= 1 {
+            return drain();
         }
         let partials: Vec<Result<Partial, StoreError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = cells
-                .chunks(chunk)
-                .map(|chunk| scope.spawn(|| self.run_chunk(chunk, &stop)))
-                .collect();
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
             handles
                 .into_iter()
                 .map(|h| {
@@ -722,7 +753,7 @@ impl CellRunner<'_> {
                 .collect()
         });
         let mut partials = partials.into_iter();
-        let mut merged = partials.next().expect("two or more chunks ran")?;
+        let mut merged = partials.next().expect("two or more workers ran")?;
         for partial in partials {
             let partial = partial?;
             merged.tallies.add(partial.tallies);
@@ -731,22 +762,6 @@ impl CellRunner<'_> {
             }
         }
         Ok(merged)
-    }
-
-    /// One worker's chunk, on fresh consumers.
-    fn run_chunk(&self, cells: &[Cell], stop: &AtomicBool) -> Result<Partial, StoreError> {
-        let mut out = Partial::empty(self.subs);
-        let mut buf = Vec::new();
-        for &cell in cells {
-            if stop.load(Ordering::Relaxed) {
-                break;
-            }
-            if let Err(e) = self.process(cell, &mut buf, &mut out) {
-                stop.store(true, Ordering::Relaxed);
-                return Err(e);
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -1358,24 +1373,26 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_output() {
+        // Two streams of very different volume: the shared queue hands
+        // each worker batches of both, in whatever order the race makes.
         let ctx = Context::with_seed(Fidelity::Test, 5);
         let d1 = Date::new(2020, 3, 1);
         let d2 = Date::new(2020, 3, 4);
-        let mut reference: Option<Vec<(lockdown_flow::time::Timestamp, u64)>> = None;
+        let mut reference = None;
         for workers in [1usize, 2, 3, 8] {
             let mut plan = EnginePlan::new();
-            let h = plan.subscribe(
-                Stream::Vantage(VantagePoint::IspCe),
-                d1,
-                d2,
-                HourlyVolume::new,
-            );
+            let handles = [VantagePoint::IspCe, VantagePoint::IxpSe]
+                .map(|vp| plan.subscribe(Stream::Vantage(vp), d1, d2, HourlyVolume::new));
             let mut out =
                 run_with_workers(&ctx, plan, workers).expect("archive-free pass cannot fail");
-            let series = out.take(h).hourly_series(d1, d2);
+            let stats = EngineStats {
+                workers: 0,
+                ..out.stats()
+            };
+            let series = handles.map(|h| out.take(h).hourly_series(d1, d2));
             match &reference {
-                None => reference = Some(series),
-                Some(r) => assert_eq!(r, &series, "workers={workers}"),
+                None => reference = Some((stats, series)),
+                Some(r) => assert_eq!(r, &(stats, series), "workers={workers}"),
             }
         }
     }

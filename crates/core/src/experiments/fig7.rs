@@ -19,7 +19,8 @@ pub const TOP_N: usize = 10;
 pub struct WeekPorts {
     /// Week label ("february", "march", "april").
     pub label: &'static str,
-    /// The aggregated profile.
+    /// The aggregated profile. It keeps every service's total but the
+    /// hourly curves of [`Fig7::top_ports`] only.
     pub profile: PortProfile,
 }
 
@@ -76,6 +77,9 @@ pub fn finish(plan: Plan, out: &mut EngineOutput) -> Fig7 {
         weeks.push(WeekPorts { label, profile });
     }
     let top_ports = combined.top_services(TOP_N, &[tcp443(), tcp80()]);
+    for week in &mut weeks {
+        week.profile.retain_curves(&top_ports);
+    }
     Fig7 {
         vantage: plan.vantage,
         weeks,

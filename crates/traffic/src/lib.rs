@@ -16,8 +16,7 @@
 //! * [`picker`] — endpoint selection (AS, address, port) with hypergiant
 //!   shares and real VPN gateway addresses;
 //! * [`generate`] — the main generator plus the ISP transit view (§3.4);
-//! * [`parallel`] — scoped-thread parallel sweeps, bit-identical to the
-//!   sequential output thanks to cell seeding;
+//! * [`parallel`] — the default worker count for parallel fan-out;
 //! * [`plan`] — deduplicated generation plans shared across consumers
 //!   (the substrate of the single-pass trace engine);
 //! * [`edu_gen`] — the §7 educational-network generator.
